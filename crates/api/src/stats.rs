@@ -158,8 +158,8 @@ impl Stopwatch {
 /// transitions and retry-budget exhaustion events.  All counters are plain
 /// per-thread `u64` increments on the abort path (never on the commit fast
 /// path), so the surface is cheap enough to stay on in every benchmark —
-/// the numbers flow through [`TxStats::merge`] into the `bench_suite` /
-/// `bench_trajectory` JSON as the `retry_metrics` object.
+/// the numbers flow through [`TxStats::merge`] into the `bench_suite`
+/// JSON as the `retry_metrics` object.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RetryMetrics {
     /// Post-clamp decisions that retried on the same path.

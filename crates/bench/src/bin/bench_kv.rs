@@ -27,15 +27,12 @@
 
 use std::time::Duration;
 
+use rhtm_bench::cli::fail;
 use rhtm_kv::{
     kv_suite_to_json, run_open_loop, Arrival, KvRow, KvScenario, LoadOpts, ShardedBankChecker,
 };
 use rhtm_workloads::check::{Checker, History};
 use rhtm_workloads::TmSpec;
-
-fn fail(msg: String) -> ! {
-    rhtm_bench::cli::fail(msg)
-}
 
 fn print_list() {
     println!(

@@ -19,12 +19,9 @@
 //! * `scenarios=` / `threads=` restrict the sweep; `seed=` pins the base
 //!   RNG seed recorded in the document.
 
-use rhtm_bench::{cli, Scale, SuiteParams};
+use rhtm_bench::cli::{self, fail};
+use rhtm_bench::{Scale, SuiteParams};
 use rhtm_workloads::{AlgoKind, Scenario, TmSpec};
-
-fn fail(msg: String) -> ! {
-    cli::fail(msg)
-}
 
 fn print_list() {
     let header = [
@@ -66,7 +63,7 @@ fn main() {
     let mut scenarios: Option<Vec<&'static Scenario>> = None;
     let mut algos: Option<Vec<AlgoKind>> = None;
     let specs: Option<Vec<TmSpec>> = cli::spec_axis(&args).unwrap_or_else(|e| fail(e));
-    let mut threads: Option<Vec<usize>> = None;
+    let threads: Option<Vec<usize>> = cli::thread_axis(&args).unwrap_or_else(|e| fail(e));
     let mut seed: Option<u64> = None;
     for arg in &args {
         if let Some(s) = Scale::parse(arg) {
@@ -74,8 +71,8 @@ fn main() {
             scale_explicit = true;
         } else if arg == "--smoke" {
             smoke = true;
-        } else if arg.starts_with("spec=") {
-            // Parsed by cli::spec_axis above.
+        } else if arg.starts_with("spec=") || arg.starts_with("threads=") {
+            // Parsed by cli::spec_axis / cli::thread_axis above.
         } else if let Some(list) = arg.strip_prefix("scenarios=") {
             let parsed: Option<Vec<_>> = list.split(',').map(Scenario::find).collect();
             match parsed {
@@ -89,14 +86,6 @@ fn main() {
             match parsed {
                 Some(a) if !a.is_empty() => algos = Some(a),
                 _ => fail(format!("bad algorithm list '{list}'")),
-            }
-        } else if let Some(list) = arg.strip_prefix("threads=") {
-            let parsed: Result<Vec<usize>, _> = list.split(',').map(|t| t.trim().parse()).collect();
-            match parsed {
-                Ok(t) if !t.is_empty() && t.iter().all(|&n| n >= 1) => threads = Some(t),
-                _ => fail(format!(
-                    "bad thread list '{list}' (expected e.g. threads=1,2,4)"
-                )),
             }
         } else if let Some(v) = arg.strip_prefix("seed=") {
             match v.parse() {

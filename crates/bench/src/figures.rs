@@ -1,16 +1,15 @@
 //! Figure and table definitions.
 //!
-//! Each function reproduces one experiment of the paper's evaluation and
-//! returns its raw rows; the `fig*` binaries print them at paper scale and
-//! the Criterion benches run them at quick scale.  The workspace `README.md`
-//! maps every binary to the paper's figure/table it regenerates.
-//!
-//! Every experiment is defined over [`TmSpec`]s — the declarative runtime
-//! point (`algorithm × clock × retry policy`) — and comes in two forms:
-//! the paper-default form (`fig1_rbtree`), whose spec series is the
-//! paper's algorithm set, and a `*_specs` form that sweeps any caller-
-//! provided series, which is what the binaries' `spec=` CLI axis feeds
-//! (see `docs/BENCHMARKS.md`).
+//! Each `fig*` / `ablation_*` function reproduces one experiment of the
+//! paper's evaluation (or one ablation around it) over a caller-provided
+//! series of [`TmSpec`]s — the declarative runtime point
+//! (`algorithm × clock × retry policy`) — and returns its raw rows.
+//! [`EXPERIMENTS`] is the table behind the `figures` binary: one entry per
+//! experiment holding its subcommand name, its paper-default series and
+//! the function that runs it and renders what the subcommand prints.  A
+//! clock or retry-policy ablation is the same sweep over base specs
+//! expanded along that axis ([`expand_series`]), so the swept scheme or
+//! policy of a row is read off its [`BenchResult::spec`] label.
 
 use std::sync::Arc;
 
@@ -18,8 +17,8 @@ use rhtm_api::RetryPolicyHandle;
 use rhtm_htm::{HtmConfig, HtmSim};
 use rhtm_mem::{ClockScheme, MemConfig};
 use rhtm_workloads::{
-    AlgoKind, BenchResult, ConstantHashTable, ConstantRbTree, ConstantSortedList, DriverOpts,
-    OpMix, RandomArray, Scenario, TmSpec,
+    report, AlgoKind, BenchResult, ConstantHashTable, ConstantRbTree, ConstantSortedList,
+    DriverOpts, OpMix, RandomArray, Scenario, TmSpec, Workload,
 };
 
 use crate::params::FigureParams;
@@ -29,120 +28,107 @@ fn mem_config(data_words: usize) -> MemConfig {
     MemConfig::with_data_words(data_words + 4096)
 }
 
-/// The default spec series for a list of algorithm kinds (clock and retry
-/// policy at their defaults).
-pub fn specs_of(kinds: &[AlgoKind]) -> Vec<TmSpec> {
-    kinds.iter().map(|&k| TmSpec::new(k)).collect()
+/// `bases` crossed with the swept `clocks` and `policies`, swept value
+/// outermost; an empty axis leaves the base specs' own value in place.
+/// Each swept value overrides that axis of the base spec, everything else
+/// (algorithm, the other axis) is honoured as given.
+pub fn expand_series(
+    bases: &[TmSpec],
+    clocks: &[ClockScheme],
+    policies: &[RetryPolicyHandle],
+) -> Vec<TmSpec> {
+    let mut series = bases.to_vec();
+    if !clocks.is_empty() {
+        series = clocks
+            .iter()
+            .flat_map(|&c| bases.iter().map(move |b| b.clone().clock(c)))
+            .collect();
+    }
+    if !policies.is_empty() {
+        series = policies
+            .iter()
+            .flat_map(|p| series.iter().map(move |b| b.clone().retry(p.clone())))
+            .collect();
+    }
+    series
 }
 
-fn timed_opts(params: &FigureParams, threads: usize, write_percent: u8) -> DriverOpts {
-    DriverOpts::timed_mix(threads, OpMix::read_update(write_percent), params.duration)
-}
-
-/// One point of a throughput figure: `spec` on the constant red-black tree.
-fn rbtree_point(
-    params: &FigureParams,
-    spec: &TmSpec,
-    threads: usize,
-    write_percent: u8,
-) -> BenchResult {
-    let nodes = params.rbtree_nodes;
-    spec.clone()
-        .mem(mem_config(ConstantRbTree::required_words(nodes)))
-        .bench(
-            |sim: &Arc<HtmSim>| ConstantRbTree::new(Arc::clone(sim), nodes),
-            &timed_opts(params, threads, write_percent),
-        )
-}
-
-/// **Figure 1**: constant red-black tree, 20% mutations, thread sweep over
-/// {HTM, Standard HyTM, TL2, RH1 Fast} — the instrumentation-cost
-/// experiment.
-pub fn fig1_rbtree(params: &FigureParams) -> Vec<BenchResult> {
-    fig1_rbtree_specs(
-        params,
-        &specs_of(&[
-            AlgoKind::Htm,
-            AlgoKind::StdHytm,
-            AlgoKind::Tl2,
-            AlgoKind::Rh1Fast,
-        ]),
-    )
-}
-
-/// [`fig1_rbtree`] over an arbitrary spec series (the `spec=` CLI axis).
-pub fn fig1_rbtree_specs(params: &FigureParams, specs: &[TmSpec]) -> Vec<BenchResult> {
+/// One run per thread count × spec of the series (thread count
+/// outermost), under `opts(threads)`, on the structure `build` constructs.
+fn sweep<W: Workload>(
+    thread_counts: &[usize],
+    specs: &[TmSpec],
+    data_words: usize,
+    opts: impl Fn(usize) -> DriverOpts,
+    build: impl Fn(&Arc<HtmSim>) -> W,
+) -> Vec<BenchResult> {
     let mut rows = Vec::new();
-    for &threads in &params.thread_counts {
+    for &threads in thread_counts {
+        let opts = opts(threads);
         for spec in specs {
-            rows.push(rbtree_point(params, spec, threads, 20));
+            let sized = spec.clone().mem(mem_config(data_words));
+            rows.push(sized.bench(&build, &opts));
         }
     }
     rows
+}
+
+/// The throughput figures' options: the scale's interval at `threads`.
+fn timed(params: &FigureParams, write_percent: u8) -> impl Fn(usize) -> DriverOpts + '_ {
+    move |threads| {
+        DriverOpts::timed_mix(threads, OpMix::read_update(write_percent), params.duration)
+    }
+}
+
+fn rbtree_sweep(params: &FigureParams, specs: &[TmSpec], write_percent: u8) -> Vec<BenchResult> {
+    let nodes = params.rbtree_nodes;
+    sweep(
+        &params.thread_counts,
+        specs,
+        ConstantRbTree::required_words(nodes),
+        timed(params, write_percent),
+        |sim| ConstantRbTree::new(Arc::clone(sim), nodes),
+    )
+}
+
+/// The ablations' row order: one whole thread sweep per spec.
+fn rbtree_sweep_per_spec(params: &FigureParams, specs: &[TmSpec]) -> Vec<BenchResult> {
+    specs
+        .iter()
+        .flat_map(|spec| rbtree_sweep(params, std::slice::from_ref(spec), 20))
+        .collect()
+}
+
+/// **Figure 1**: constant red-black tree, 20% mutations, thread sweep —
+/// the instrumentation-cost experiment (paper series: HTM, Standard HyTM,
+/// TL2, RH1 Fast).
+pub fn fig1_rbtree(params: &FigureParams, specs: &[TmSpec]) -> Vec<BenchResult> {
+    rbtree_sweep(params, specs, 20)
 }
 
 /// **Figure 2 (top)**: constant red-black tree with the slow-path-mix
 /// variants at the given write percentage (the paper shows 20% and 80%).
-pub fn fig2_rbtree(params: &FigureParams, write_percent: u8) -> Vec<BenchResult> {
-    fig2_rbtree_specs(params, &specs_of(&AlgoKind::FIGURE_SET), write_percent)
-}
-
-/// [`fig2_rbtree`] over an arbitrary spec series (the `spec=` CLI axis).
-pub fn fig2_rbtree_specs(
-    params: &FigureParams,
-    specs: &[TmSpec],
-    write_percent: u8,
-) -> Vec<BenchResult> {
-    let mut rows = Vec::new();
-    for &threads in &params.thread_counts {
-        for spec in specs {
-            rows.push(rbtree_point(params, spec, threads, write_percent));
-        }
-    }
-    rows
+pub fn fig2_rbtree(params: &FigureParams, specs: &[TmSpec], write_percent: u8) -> Vec<BenchResult> {
+    rbtree_sweep(params, specs, write_percent)
 }
 
 /// **Figure 2 (middle & bottom) and the `20_100_R` / `80_100_R` tables**:
-/// single-thread speedup and time breakdown for
-/// {RH1 Slow, TL2, Standard HyTM, RH1 Fast, HTM}.
-pub fn fig2_breakdown(params: &FigureParams, write_percent: u8) -> Vec<BenchResult> {
-    fig2_breakdown_specs(
-        params,
-        &specs_of(&[
-            AlgoKind::Rh1Slow,
-            AlgoKind::Tl2,
-            AlgoKind::StdHytm,
-            AlgoKind::Rh1Fast,
-            AlgoKind::Htm,
-        ]),
-        write_percent,
-    )
-}
-
-/// [`fig2_breakdown`] over an arbitrary spec series (the `spec=` CLI
-/// axis).
-pub fn fig2_breakdown_specs(
+/// single-thread time breakdown (paper series: RH1 Slow, TL2, Standard
+/// HyTM, RH1 Fast, HTM).
+pub fn fig2_breakdown(
     params: &FigureParams,
     specs: &[TmSpec],
     write_percent: u8,
 ) -> Vec<BenchResult> {
     let nodes = params.rbtree_nodes;
-    specs
-        .iter()
-        .map(|spec| {
-            spec.clone()
-                .mem(mem_config(ConstantRbTree::required_words(nodes)))
-                .bench(
-                    |sim: &Arc<HtmSim>| ConstantRbTree::new(Arc::clone(sim), nodes),
-                    &DriverOpts::counted_mix(
-                        1,
-                        OpMix::read_update(write_percent),
-                        params.ops_per_thread,
-                    )
-                    .with_breakdown(),
-                )
-        })
-        .collect()
+    let mix = OpMix::read_update(write_percent);
+    sweep(
+        &[1],
+        specs,
+        ConstantRbTree::required_words(nodes),
+        |threads| DriverOpts::counted_mix(threads, mix, params.ops_per_thread).with_breakdown(),
+        |sim| ConstantRbTree::new(Arc::clone(sim), nodes),
+    )
 }
 
 /// Single-thread speedups normalised to TL2 (the paper's Figure 2 middle
@@ -171,61 +157,27 @@ pub fn single_thread_speedups(rows: &[BenchResult]) -> Vec<(String, f64)> {
 }
 
 /// **Figure 3 (left)**: constant hash table, 20% writes.
-pub fn fig3_hashtable(params: &FigureParams) -> Vec<BenchResult> {
-    fig3_hashtable_specs(
-        params,
-        &specs_of(&[
-            AlgoKind::Htm,
-            AlgoKind::StdHytm,
-            AlgoKind::Tl2,
-            AlgoKind::Rh1Mixed(100),
-        ]),
+pub fn fig3_hashtable(params: &FigureParams, specs: &[TmSpec]) -> Vec<BenchResult> {
+    let elements = params.hashtable_elements;
+    sweep(
+        &params.thread_counts,
+        specs,
+        ConstantHashTable::required_words(elements),
+        timed(params, 20),
+        |sim| ConstantHashTable::new(Arc::clone(sim), elements),
     )
 }
 
-/// [`fig3_hashtable`] over an arbitrary spec series (the `spec=` CLI
-/// axis).
-pub fn fig3_hashtable_specs(params: &FigureParams, specs: &[TmSpec]) -> Vec<BenchResult> {
-    let elements = params.hashtable_elements;
-    let mut rows = Vec::new();
-    for &threads in &params.thread_counts {
-        for spec in specs {
-            rows.push(
-                spec.clone()
-                    .mem(mem_config(ConstantHashTable::required_words(elements)))
-                    .bench(
-                        |sim: &Arc<HtmSim>| ConstantHashTable::new(Arc::clone(sim), elements),
-                        &timed_opts(params, threads, 20),
-                    ),
-            );
-        }
-    }
-    rows
-}
-
 /// **Figure 3 (middle)**: constant sorted list, 5% writes.
-pub fn fig3_sortedlist(params: &FigureParams) -> Vec<BenchResult> {
-    fig3_sortedlist_specs(params, &specs_of(&AlgoKind::FIGURE_SET))
-}
-
-/// [`fig3_sortedlist`] over an arbitrary spec series (the `spec=` CLI
-/// axis).
-pub fn fig3_sortedlist_specs(params: &FigureParams, specs: &[TmSpec]) -> Vec<BenchResult> {
+pub fn fig3_sortedlist(params: &FigureParams, specs: &[TmSpec]) -> Vec<BenchResult> {
     let elements = params.sortedlist_elements;
-    let mut rows = Vec::new();
-    for &threads in &params.thread_counts {
-        for spec in specs {
-            rows.push(
-                spec.clone()
-                    .mem(mem_config(ConstantSortedList::required_words(elements)))
-                    .bench(
-                        |sim: &Arc<HtmSim>| ConstantSortedList::new(Arc::clone(sim), elements),
-                        &timed_opts(params, threads, 5),
-                    ),
-            );
-        }
-    }
-    rows
+    sweep(
+        &params.thread_counts,
+        specs,
+        ConstantSortedList::required_words(elements),
+        timed(params, 5),
+        |sim| ConstantSortedList::new(Arc::clone(sim), elements),
+    )
 }
 
 /// One point of the random-array speedup matrix.
@@ -235,249 +187,129 @@ pub struct RandomArrayPoint {
     pub txn_len: usize,
     /// Percentage of those accesses that are writes.
     pub write_percent: u8,
-    /// Treatment throughput (ops/s) — RH1-Fast in the paper's figure.
-    pub rh1_ops_per_sec: f64,
-    /// Baseline throughput (ops/s) — the Standard HyTM in the paper's
-    /// figure.
-    pub std_hytm_ops_per_sec: f64,
-    /// The paper's reported quantity: treatment speedup over baseline.
-    pub speedup: f64,
+    /// The treatment's run — RH1 Fast in the paper's figure.
+    pub treatment: BenchResult,
+    /// The baseline's run — the Standard HyTM in the paper's figure.
+    pub baseline: BenchResult,
 }
 
-/// **Figure 3 (right)**: RH speedup over the Standard HyTM on the random
-/// array, for transaction lengths {400, 200, 100, 40} and write percentages
-/// {0, 20, 50, 90}, at the maximum thread count of the sweep.
-pub fn fig3_random_array(params: &FigureParams) -> Vec<RandomArrayPoint> {
-    fig3_random_array_specs(
-        params,
-        &TmSpec::new(AlgoKind::Rh1Fast),
-        &TmSpec::new(AlgoKind::StdHytm),
-    )
+impl RandomArrayPoint {
+    /// The paper's reported quantity: treatment throughput over baseline
+    /// throughput (0 when the baseline committed nothing).
+    pub fn speedup(&self) -> f64 {
+        let baseline = self.baseline.throughput();
+        if baseline > 0.0 {
+            self.treatment.throughput() / baseline
+        } else {
+            0.0
+        }
+    }
 }
 
-/// [`fig3_random_array`] with explicit treatment/baseline specs (the
-/// `spec=` CLI axis takes exactly two labels:
-/// `spec=treatment,baseline`).
-pub fn fig3_random_array_specs(
-    params: &FigureParams,
-    treatment: &TmSpec,
-    baseline: &TmSpec,
-) -> Vec<RandomArrayPoint> {
+/// **Figure 3 (right)**: speedup of `specs[0]` (the treatment; RH1 Fast in
+/// the paper) over `specs[1]` (the baseline; Standard HyTM) on the random
+/// array, for transaction lengths {400, 200, 100, 40} and write
+/// percentages {0, 20, 50, 90}, at the maximum thread count of the sweep.
+///
+/// # Panics
+///
+/// If `specs` is not exactly `[treatment, baseline]`.
+pub fn fig3_random_array(params: &FigureParams, specs: &[TmSpec]) -> Vec<RandomArrayPoint> {
     let threads = params.thread_counts.iter().copied().max().unwrap_or(1);
     let entries = params.random_array_entries;
     let mut points = Vec::new();
-    for &txn_len in &[400usize, 200, 100, 40] {
-        for &write_percent in &[0u8, 20, 50, 90] {
-            let run = |spec: &TmSpec| {
-                spec.clone()
-                    .mem(mem_config(RandomArray::required_words(entries)))
-                    .bench(
-                        |sim: &Arc<HtmSim>| {
-                            RandomArray::new(Arc::clone(sim), entries, txn_len, write_percent)
-                        },
-                        &timed_opts(params, threads, 100),
-                    )
-            };
-            let rh1 = run(treatment);
-            let std = run(baseline);
-            let rh1_tp = rh1.throughput();
-            let std_tp = std.throughput();
+    for txn_len in [400usize, 200, 100, 40] {
+        for write_percent in [0u8, 20, 50, 90] {
+            let pair = sweep(
+                &[threads],
+                specs,
+                RandomArray::required_words(entries),
+                timed(params, 100),
+                |sim| RandomArray::new(Arc::clone(sim), entries, txn_len, write_percent),
+            );
+            let [treatment, baseline]: [BenchResult; 2] = pair
+                .try_into()
+                .expect("fig3_random_array takes exactly two specs: [treatment, baseline]");
             points.push(RandomArrayPoint {
                 txn_len,
                 write_percent,
-                rh1_ops_per_sec: rh1_tp,
-                std_hytm_ops_per_sec: std_tp,
-                speedup: if std_tp > 0.0 { rh1_tp / std_tp } else { 0.0 },
+                treatment,
+                baseline,
             });
         }
     }
     points
 }
 
-/// **Ablation A1**: how much longer a transaction the mixed slow-path can
-/// accommodate compared with the fast-path, as the hardware read capacity
-/// shrinks (§1.2's "read-set metadata is ~1/4 the size of the data read").
-/// Returns `(read_capacity_lines, result)` rows for RH1 Mixed 100 on the
-/// random array.
-pub fn ablation_capacity(params: &FigureParams) -> Vec<(usize, BenchResult)> {
-    ablation_capacity_specs(params, &[TmSpec::new(AlgoKind::Rh1Mixed(100))])
-}
-
-/// [`ablation_capacity`] over an arbitrary spec series (the `spec=` CLI
-/// axis): the capacity sweep runs once per spec.
-pub fn ablation_capacity_specs(
-    params: &FigureParams,
+/// A capacity ablation: per spec, the same counted two-thread run under
+/// each `(read_lines, write_lines)` hardware capacity; rows are
+/// `(read_lines, result)`.
+fn capacity_sweep<W: Workload>(
     specs: &[TmSpec],
+    capacities: [(usize, usize); 5],
+    data_words: usize,
+    opts: &DriverOpts,
+    build: impl Fn(&Arc<HtmSim>) -> W,
 ) -> Vec<(usize, BenchResult)> {
-    let entries = params.random_array_entries.min(16 * 1024);
-    let txn_len = 200;
     let mut rows = Vec::new();
     for spec in specs {
-        for &capacity in &[512usize, 128, 64, 32, 16] {
+        for (read_lines, write_lines) in capacities {
             let result = spec
                 .clone()
-                .mem(mem_config(RandomArray::required_words(entries)))
-                .htm(HtmConfig::with_capacity(capacity, 64))
-                .bench(
-                    |sim: &Arc<HtmSim>| RandomArray::new(Arc::clone(sim), entries, txn_len, 20),
-                    &DriverOpts::counted_mix(2, OpMix::read_update(100), params.ops_per_thread / 4),
-                );
-            rows.push((capacity, result));
+                .mem(mem_config(data_words))
+                .htm(HtmConfig::with_capacity(read_lines, write_lines))
+                .bench(&build, opts);
+            rows.push((read_lines, result));
         }
     }
     rows
 }
 
-/// One row of the clock-scheme ablation.
-#[derive(Clone, Debug)]
-pub struct ClockAblationRow {
-    /// The global-clock scheme the row was measured under.
-    pub scheme: ClockScheme,
-    /// The algorithm that was run.
-    pub algo: AlgoKind,
-    /// The raw benchmark result (throughput, abort causes, path counts).
-    pub result: BenchResult,
+/// **Ablation A1**: how much longer a transaction the mixed slow-path can
+/// accommodate compared with the fast-path, as the hardware read capacity
+/// shrinks (§1.2's "read-set metadata is ~1/4 the size of the data read").
+/// Returns `(read_capacity_lines, result)` rows on the random array, one
+/// capacity sweep per spec (paper-default: RH1 Mixed 100).
+pub fn ablation_capacity(params: &FigureParams, specs: &[TmSpec]) -> Vec<(usize, BenchResult)> {
+    let entries = params.random_array_entries.min(16 * 1024);
+    capacity_sweep(
+        specs,
+        [(512, 64), (128, 64), (64, 64), (32, 64), (16, 64)],
+        RandomArray::required_words(entries),
+        &DriverOpts::counted_mix(2, OpMix::read_update(100), params.ops_per_thread / 4),
+        |sim| RandomArray::new(Arc::clone(sim), entries, 200, 20),
+    )
 }
 
 /// **Ablation A2**: the global-clock advancement schemes (strict
 /// fetch-and-add, GV4 CAS-relaxed, GV5 commit-skip, GV6 sampled, and the
-/// fully incrementing baseline — see [`ClockScheme::ALL`]), swept over the
-/// figure's thread counts on the red-black tree at 20% writes.
+/// fully incrementing baseline — see [`ClockScheme::ALL`]) on the
+/// red-black tree at 20% writes: one thread sweep per spec of a series
+/// already expanded over the schemes ([`expand_series`]).
 ///
-/// Two algorithms bracket the design space: TL2 pays the commit-time clock
-/// RMW on *every* writing commit (the bottleneck the relaxed schemes
-/// remove), while RH1 Mixed 100 only pays it on slow-path RH2 commits, so
-/// its clock sensitivity shows up under fallback pressure.  Rows report
-/// commit throughput and abort rate per `(scheme, algorithm, threads)`
-/// point.
-pub fn ablation_clock(params: &FigureParams) -> Vec<ClockAblationRow> {
-    ablation_clock_schemes(params, &ClockScheme::ALL)
-}
-
-/// [`ablation_clock`] restricted to the given schemes (used by the
-/// `ablation_clock` binary's CLI filter so unrequested schemes are never
-/// run).
-pub fn ablation_clock_schemes(
-    params: &FigureParams,
-    schemes: &[ClockScheme],
-) -> Vec<ClockAblationRow> {
-    ablation_clock_specs(
-        params,
-        schemes,
-        &specs_of(&[AlgoKind::Tl2, AlgoKind::Rh1Mixed(100)]),
-    )
-}
-
-/// [`ablation_clock`] over arbitrary base specs (the `spec=` CLI axis):
-/// each swept scheme overrides the base spec's clock axis, everything
-/// else (algorithm, retry policy) is honoured as given.
-pub fn ablation_clock_specs(
-    params: &FigureParams,
-    schemes: &[ClockScheme],
-    base_specs: &[TmSpec],
-) -> Vec<ClockAblationRow> {
-    let nodes = params.rbtree_nodes;
-    let mut rows = Vec::new();
-    for &scheme in schemes {
-        for base in base_specs {
-            for &threads in &params.thread_counts {
-                let result = base
-                    .clone()
-                    .clock(scheme)
-                    .mem(mem_config(ConstantRbTree::required_words(nodes)))
-                    .bench(
-                        |sim: &Arc<HtmSim>| ConstantRbTree::new(Arc::clone(sim), nodes),
-                        &timed_opts(params, threads, 20),
-                    );
-                rows.push(ClockAblationRow {
-                    scheme,
-                    algo: base.algo(),
-                    result,
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// One row of the retry-policy ablation.
-#[derive(Clone, Debug)]
-pub struct RetryAblationRow {
-    /// The contention-management policy the row was measured under.
-    pub policy: RetryPolicyHandle,
-    /// The algorithm that was run.
-    pub algo: AlgoKind,
-    /// The raw benchmark result (throughput, abort causes, path counts).
-    pub result: BenchResult,
+/// The paper-default base algorithms bracket the design space: TL2 pays
+/// the commit-time clock RMW on *every* writing commit (the bottleneck the
+/// relaxed schemes remove), while RH1 Mixed 100 only pays it on slow-path
+/// RH2 commits, so its clock sensitivity shows up under fallback pressure.
+pub fn ablation_clock(params: &FigureParams, specs: &[TmSpec]) -> Vec<BenchResult> {
+    rbtree_sweep_per_spec(params, specs)
 }
 
 /// **Ablation A4**: retry policies (see [`RetryPolicyHandle::builtin`]) as
-/// a measured axis, swept over `(policy, algorithm, threads)` on the
-/// red-black tree at 20% writes.
+/// a measured axis on the red-black tree at 20% writes: one thread sweep
+/// per spec of a series already expanded over the policies
+/// ([`expand_series`]).
 ///
-/// The algorithms bracket the decision sites: the RH variants demote
-/// between real tiers (fast-path → mixed slow-path → RH2 → all-software),
-/// so their rows show policies shifting work across the cascade.  The
-/// other three are pacing-only by construction: pure HTM and TL2 have no
-/// slower tier, and `AlgoKind::StdHytm` is the paper's `hardware_only`
-/// measurement variant, whose contract drops contention demotes (its
-/// fallback-enabled demotion is exercised by `tests/retry_policies.rs`
-/// instead).  Rows report commit throughput and abort rate per
-/// `(policy, algorithm, threads)` point.
-pub fn ablation_retry(params: &FigureParams) -> Vec<RetryAblationRow> {
-    ablation_retry_policies(params, &RetryPolicyHandle::builtin())
-}
-
-/// [`ablation_retry`] restricted to the given policies (used by the
-/// `ablation_retry` binary's CLI filter and the CI smoke run, so
-/// unrequested policies are never run).
-pub fn ablation_retry_policies(
-    params: &FigureParams,
-    policies: &[RetryPolicyHandle],
-) -> Vec<RetryAblationRow> {
-    ablation_retry_specs(
-        params,
-        policies,
-        &specs_of(&[
-            AlgoKind::Htm,
-            AlgoKind::StdHytm,
-            AlgoKind::Tl2,
-            AlgoKind::Rh1Mixed(100),
-            AlgoKind::Rh2,
-        ]),
-    )
-}
-
-/// [`ablation_retry`] over arbitrary base specs (the `spec=` CLI axis):
-/// each swept policy overrides the base spec's retry axis, everything
-/// else (algorithm, clock) is honoured as given.
-pub fn ablation_retry_specs(
-    params: &FigureParams,
-    policies: &[RetryPolicyHandle],
-    base_specs: &[TmSpec],
-) -> Vec<RetryAblationRow> {
-    let nodes = params.rbtree_nodes;
-    let mut rows = Vec::new();
-    for policy in policies {
-        for base in base_specs {
-            for &threads in &params.thread_counts {
-                let result = base
-                    .clone()
-                    .retry(policy.clone())
-                    .mem(mem_config(ConstantRbTree::required_words(nodes)))
-                    .bench(
-                        |sim: &Arc<HtmSim>| ConstantRbTree::new(Arc::clone(sim), nodes),
-                        &timed_opts(params, threads, 20),
-                    );
-                rows.push(RetryAblationRow {
-                    policy: policy.clone(),
-                    algo: base.algo(),
-                    result,
-                });
-            }
-        }
-    }
-    rows
+/// The paper-default base algorithms bracket the decision sites: the RH
+/// variants demote between real tiers (fast-path → mixed slow-path → RH2 →
+/// all-software), so their rows show policies shifting work across the
+/// cascade.  The other three are pacing-only by construction: pure HTM and
+/// TL2 have no slower tier, and `AlgoKind::StdHytm` is the paper's
+/// `hardware_only` measurement variant, whose contract drops contention
+/// demotes (its fallback-enabled demotion is exercised by
+/// `tests/retry_policies.rs` instead).
+pub fn ablation_retry(params: &FigureParams, specs: &[TmSpec]) -> Vec<BenchResult> {
+    rbtree_sweep_per_spec(params, specs)
 }
 
 /// The scenario the Retry 2.0 ablation runs on: the registry's phased
@@ -499,8 +331,9 @@ pub fn retry2_policies() -> Vec<RetryPolicyHandle> {
 }
 
 /// **Ablation A5 (Retry 2.0)**: the circuit-breaker/budget/jitter policies
-/// under a flash crowd, swept over `(policy, algorithm, threads)` on the
-/// phased [`ABLATION_RETRY2_SCENARIO`] skiplist.
+/// under a flash crowd: one thread sweep per spec of a series already
+/// expanded over the policies, on the phased [`ABLATION_RETRY2_SCENARIO`]
+/// skiplist.
 ///
 /// Unlike [`ablation_retry`] (stationary rb-tree), this sweep's load is
 /// *non-stationary*: the first half is uniform, then 95% of operations
@@ -508,39 +341,11 @@ pub fn retry2_policies() -> Vec<RetryPolicyHandle> {
 /// retries into the crowd; the breaker demotes early and probes its way
 /// back, and the budget sheds retries globally — the rows' retry-metrics
 /// counters (`circuit_opens`, `budget_exhausted`, ...) show it happening.
-pub fn ablation_retry2(params: &FigureParams) -> Vec<RetryAblationRow> {
-    ablation_retry2_policies(params, &retry2_policies())
-}
-
-/// [`ablation_retry2`] restricted to the given policies (the
-/// `ablation_retry2` binary's CLI filter and the CI smoke run).
-pub fn ablation_retry2_policies(
-    params: &FigureParams,
-    policies: &[RetryPolicyHandle],
-) -> Vec<RetryAblationRow> {
-    // The default algorithms bracket demote-willingness: RH1 Mixed 10
-    // retries contention aborts in hardware 90% of the time (the breaker's
-    // best case), RH1 Mixed 100 demotes on first contention (pacing-bound),
-    // and RH2 is the slow-path-only bound.
-    ablation_retry2_specs(
-        params,
-        policies,
-        &specs_of(&[
-            AlgoKind::Rh1Mixed(10),
-            AlgoKind::Rh1Mixed(100),
-            AlgoKind::Rh2,
-        ]),
-    )
-}
-
-/// [`ablation_retry2`] over arbitrary base specs (the `spec=` CLI axis):
-/// each swept policy overrides the base spec's retry axis, everything
-/// else (algorithm, clock) is honoured as given.
-pub fn ablation_retry2_specs(
-    params: &FigureParams,
-    policies: &[RetryPolicyHandle],
-    base_specs: &[TmSpec],
-) -> Vec<RetryAblationRow> {
+/// The paper-default base algorithms bracket demote-willingness: RH1
+/// Mixed 10 retries contention aborts in hardware 90% of the time (the
+/// breaker's best case), RH1 Mixed 100 demotes on first contention
+/// (pacing-bound), and RH2 is the slow-path-only bound.
+pub fn ablation_retry2(params: &FigureParams, specs: &[TmSpec]) -> Vec<BenchResult> {
     let scenario =
         Scenario::find(ABLATION_RETRY2_SCENARIO).expect("the flash-crowd scenario is registered");
     // Scale the registered (paper-like) skiplist size in proportion to the
@@ -549,57 +354,316 @@ pub fn ablation_retry2_specs(
     let divisor = (100_000 / params.rbtree_nodes.max(1)).max(1);
     let size = scenario.sized(divisor);
     let mut rows = Vec::new();
-    for policy in policies {
-        for base in base_specs {
-            for &threads in &params.thread_counts {
-                let spec = base.clone().retry(policy.clone());
-                let result = scenario.run_spec(
-                    &spec,
-                    size,
-                    &DriverOpts::timed_mix(threads, OpMix::read_update(0), params.duration),
-                );
-                rows.push(RetryAblationRow {
-                    policy: policy.clone(),
-                    algo: base.algo(),
-                    result,
-                });
+    for spec in specs {
+        for &threads in &params.thread_counts {
+            rows.push(scenario.run_spec(spec, size, &timed(params, 0)(threads)));
+        }
+    }
+    rows
+}
+
+/// **Ablation A3**: the cost of the fallback cascade.  The hash table is
+/// run with progressively smaller hardware capacities, so transactions are
+/// pushed from the fast-path to the mixed slow-path, the RH2 commit and
+/// finally the all-software write-back; the `(capacity_lines, result)`
+/// rows show the path distribution, one capacity sweep per spec
+/// (paper-default: RH1 Mixed 100).
+pub fn ablation_fallback(params: &FigureParams, specs: &[TmSpec]) -> Vec<(usize, BenchResult)> {
+    let elements = params.hashtable_elements;
+    capacity_sweep(
+        specs,
+        [(512, 8), (16, 8), (8, 8), (4, 4), (2, 2)],
+        ConstantHashTable::required_words(elements),
+        &DriverOpts::counted_mix(2, OpMix::read_update(50), params.ops_per_thread / 4),
+        |sim| ConstantHashTable::new(Arc::clone(sim), elements),
+    )
+}
+
+/// What a table entry's [`Experiment::run`] returns: the text
+/// `figures <name>` prints on stdout, and the raw rows behind it.
+type Rendered = (String, Vec<BenchResult>);
+
+/// One experiment of the evaluation: a row of [`EXPERIMENTS`], a
+/// subcommand of the `figures` binary.
+pub struct Experiment {
+    /// The subcommand (and library function) name.
+    pub name: &'static str,
+    /// One line on what the experiment reproduces (the usage text).
+    pub about: &'static str,
+    /// The paper-default base series (clock and retry policy at their
+    /// defaults); the `spec=` axis replaces it.
+    pub algos: &'static [AlgoKind],
+    /// The clock schemes swept over every base spec (empty: none);
+    /// positional scheme labels replace them.
+    pub clocks: &'static [ClockScheme],
+    /// The retry policies swept over every base spec (empty: none);
+    /// positional policy labels replace them.  An experiment that sweeps
+    /// an axis also sweeps threads 1–32 instead of the scale's own sweep.
+    pub policies: fn() -> Vec<RetryPolicyHandle>,
+    /// The default of the `--writes N` flag, for the experiment taking it.
+    pub writes: Option<u8>,
+    /// Runs the experiment over an (expanded) series at a write percentage
+    /// (ignored unless [`Experiment::writes`] is set) and renders it.
+    #[allow(clippy::type_complexity)] // spelled out: it is the table's contract
+    pub run: fn(&FigureParams, &[TmSpec], u8) -> (String, Vec<BenchResult>),
+}
+
+impl Experiment {
+    /// An experiment that sweeps no axis and takes no `--writes`.
+    const fn new(
+        name: &'static str,
+        about: &'static str,
+        algos: &'static [AlgoKind],
+        run: fn(&FigureParams, &[TmSpec], u8) -> Rendered,
+    ) -> Experiment {
+        Experiment {
+            name,
+            about,
+            algos,
+            clocks: &[],
+            policies: Vec::new,
+            writes: None,
+            run,
+        }
+    }
+
+    /// Looks an experiment up by its subcommand name.
+    pub fn find(name: &str) -> Option<&'static Experiment> {
+        EXPERIMENTS.iter().find(|e| e.name == name)
+    }
+}
+
+/// Every experiment the `figures` binary runs, in the order of the paper's
+/// evaluation followed by the ablations.
+pub static EXPERIMENTS: [Experiment; 11] = [
+    Experiment::new(
+        "fig1_rbtree",
+        "Figure 1: 100K-node constant RB-tree, 20% writes — instrumentation cost of the hardware fast-path",
+        &[AlgoKind::Htm, AlgoKind::StdHytm, AlgoKind::Tl2, AlgoKind::Rh1Fast],
+        |p, s, _| {
+            let title = "Figure 1: 100K Nodes Constant RB-Tree, 20% mutations";
+            series_with_json(title, fig1_rbtree(p, s))
+        },
+    ),
+    Experiment {
+        writes: Some(20),
+        ..Experiment::new(
+            "fig2_rbtree",
+            "Figure 2 (top): the RB-tree with the RH1 Mixed slow-path variants [--writes 20|80]",
+            &AlgoKind::FIGURE_SET,
+            |p, s, writes| {
+                let title = format!("Figure 2: 100K Nodes Constant RB-Tree, {writes}% mutations");
+                series_with_json(&title, fig2_rbtree(p, s, writes))
+            },
+        )
+    },
+    Experiment::new(
+        "fig2_breakdown",
+        "Figure 2 (middle/bottom) + tables 20_100_R/80_100_R: single-thread speedup and time breakdown",
+        &[AlgoKind::Rh1Slow, AlgoKind::Tl2, AlgoKind::StdHytm, AlgoKind::Rh1Fast, AlgoKind::Htm],
+        |p, s, _| breakdown_tables(p, s),
+    ),
+    Experiment::new(
+        "fig3_hashtable",
+        "Figure 3 (left): constant hash table, 20% writes",
+        &[AlgoKind::Htm, AlgoKind::StdHytm, AlgoKind::Tl2, AlgoKind::Rh1Mixed(100)],
+        |p, s, _| {
+            let title = "Figure 3 (left): Constant Hash Table, 20% mutations";
+            series_with_json(title, fig3_hashtable(p, s))
+        },
+    ),
+    Experiment::new(
+        "fig3_sortedlist",
+        "Figure 3 (middle): 1K-element constant sorted list, 5% writes",
+        &AlgoKind::FIGURE_SET,
+        |p, s, _| {
+            let title = "Figure 3 (middle): 1K Nodes Constant Sorted List, 5% mutations";
+            series_with_json(title, fig3_sortedlist(p, s))
+        },
+    ),
+    Experiment::new(
+        "fig3_random_array",
+        "Figure 3 (right): 128K random array, RH1 speedup over Standard HyTM (spec=treatment,baseline)",
+        &[AlgoKind::Rh1Fast, AlgoKind::StdHytm],
+        |p, s, _| speedup_matrix(fig3_random_array(p, s)),
+    ),
+    Experiment::new(
+        "ablation_capacity",
+        "A1: shrinking hardware read capacity pushes RH1 onto the mixed slow-path",
+        &[AlgoKind::Rh1Mixed(100)],
+        |p, s, _| {
+            let title = "Ablation A1: hardware read-capacity sweep (RH1 Mixed 100, random array, 200 accesses/txn)";
+            capacity_table(title, "read-capacity", false, ablation_capacity(p, s))
+        },
+    ),
+    Experiment {
+        clocks: &ClockScheme::ALL,
+        ..Experiment::new(
+            "ablation_clock",
+            "A2: global-clock schemes x base specs x threads 1-32 [scheme...]",
+            &[AlgoKind::Tl2, AlgoKind::Rh1Mixed(100)],
+            |p, s, _| {
+                let title = "Ablation A2: global-clock scheme (constant RB-tree, 20% writes)";
+                axis_table(title, "scheme", 1, p, ablation_clock(p, s), COMMIT_CTR, commit_ctr)
+            },
+        )
+    },
+    Experiment::new(
+        "ablation_fallback",
+        "A3: the fallback cascade's path distribution under shrinking capacity",
+        &[AlgoKind::Rh1Mixed(100)],
+        |p, s, _| {
+            let title = "Ablation A3: fallback cascade under shrinking hardware capacity (RH1 Mixed 100, constant hash table, 50% writes)";
+            capacity_table(title, "capacity", true, ablation_fallback(p, s))
+        },
+    ),
+    Experiment {
+        policies: RetryPolicyHandle::builtin,
+        ..Experiment::new(
+            "ablation_retry",
+            "A4: retry policies x base specs x threads 1-32 [policy...] [threads=N,M,..]",
+            &[AlgoKind::Htm, AlgoKind::StdHytm, AlgoKind::Tl2, AlgoKind::Rh1Mixed(100), AlgoKind::Rh2],
+            |p, s, _| {
+                let title = "Ablation A4: retry policy (constant RB-tree, 20% writes)";
+                axis_table(title, "policy", 2, p, ablation_retry(p, s), COMMIT_CTR, commit_ctr)
+            },
+        )
+    },
+    Experiment {
+        policies: retry2_policies,
+        ..Experiment::new(
+            "ablation_retry2",
+            "A5: Retry 2.0 policies under a flash crowd, with circuit/budget counters [policy...] [threads=N,M,..]",
+            &[AlgoKind::Rh1Mixed(10), AlgoKind::Rh1Mixed(100), AlgoKind::Rh2],
+            |p, s, _| {
+                let title = format!("Ablation A5: Retry 2.0 policies ({ABLATION_RETRY2_SCENARIO} scenario)");
+                let counters = "  opens  probes  closes exhausted";
+                axis_table(&title, "policy", 2, p, ablation_retry2(p, s), counters, |r| {
+                    let m = &r.stats.retry;
+                    format!(
+                        "{:>7} {:>7} {:>7} {:>9}",
+                        m.circuit_opens, m.circuit_probes, m.circuit_closes, m.budget_exhausted
+                    )
+                })
+            },
+        )
+    },
+];
+
+/// The clock and retry ablations' trailing column: header and cell.
+const COMMIT_CTR: &str = "  commit-ctr";
+fn commit_ctr(row: &BenchResult) -> String {
+    format!("{:>12.3}", row.commit_ratio())
+}
+
+/// A throughput figure's table followed by its `report::to_json` array.
+fn series_with_json(title: &str, rows: Vec<BenchResult>) -> Rendered {
+    let text = format!(
+        "{}\n{}\n",
+        report::format_series(title, &rows),
+        report::to_json(&rows)
+    );
+    (text, rows)
+}
+
+/// Figure 2's single-thread breakdown and speedup tables at 20% and 80%
+/// writes.
+fn breakdown_tables(params: &FigureParams, specs: &[TmSpec]) -> Rendered {
+    let mut text = String::new();
+    let mut all = Vec::new();
+    for writes in [20u8, 80] {
+        let rows = fig2_breakdown(params, specs, writes);
+        text +=
+            &format!("# Single-thread breakdown, {writes}% writes (paper table {writes}_100_R)\n");
+        for row in &rows {
+            text += &format!("{}\n", row.breakdown_row());
+        }
+        let speedups = single_thread_speedups(&rows);
+        if speedups.is_empty() {
+            text += "# (no TL2 row in the series; speedups-normalised-to-TL2 skipped)\n";
+        } else {
+            text += "# Single-thread speedup normalised to TL2\n";
+            for (name, speedup) in speedups {
+                text += &format!("{name:<16} {speedup:>6.2}x\n");
+            }
+        }
+        text.push('\n');
+        all.extend(rows);
+    }
+    (text, all)
+}
+
+/// Figure 3 (right)'s speedup matrix, then the same points as JSON
+/// (hand-rolled like `report::to_json`) for plotting scripts.
+fn speedup_matrix(points: Vec<RandomArrayPoint>) -> Rendered {
+    let mut text =
+        String::from("# Figure 3 (right): 128K Random Array — RH1 speedup vs Standard HyTM\n");
+    text += &format!(
+        "{:>8} {:>8} {:>14} {:>14} {:>9}\n",
+        "txn-len", "writes%", "RH1 ops/s", "StdHyTM ops/s", "speedup"
+    );
+    let mut json = Vec::new();
+    let mut rows = Vec::new();
+    for p in points {
+        let (len, writes, speedup) = (p.txn_len, p.write_percent, p.speedup());
+        let (rh1, std) = (p.treatment.throughput(), p.baseline.throughput());
+        text += &format!("{len:>8} {writes:>8} {rh1:>14.0} {std:>14.0} {speedup:>8.2}x\n");
+        json.push(format!(
+            "  {{\"txn_len\": {len}, \"write_percent\": {writes}, \"rh1_ops_per_sec\": {rh1}, \"std_hytm_ops_per_sec\": {std}, \"speedup\": {speedup}}}"
+        ));
+        rows.extend([p.treatment, p.baseline]);
+    }
+    text += &format!("[\n{}\n]\n", json.join(",\n"));
+    (text, rows)
+}
+
+/// A capacity ablation's rows, optionally with each row's abort causes.
+fn capacity_table(
+    title: &str,
+    label: &str,
+    abort_causes: bool,
+    rows: Vec<(usize, BenchResult)>,
+) -> Rendered {
+    let mut text = format!("# {title}\n");
+    for (capacity, row) in &rows {
+        text += &format!("{label} {capacity:>4} lines: {}\n", row.throughput_row());
+        if abort_causes {
+            for (cause, count) in row.abort_causes() {
+                text += &format!("    aborts[{cause}] = {count}\n");
             }
         }
     }
-    rows
+    (text, rows.into_iter().map(|(_, row)| row).collect())
 }
 
-/// **Ablation A3**: the cost of the fallback cascade.  The hash table is run
-/// under RH1 Mixed 100 with progressively smaller hardware capacities, so
-/// transactions are pushed from the fast-path to the mixed slow-path, the
-/// RH2 commit and finally the all-software write-back; the result rows show
-/// the path distribution.
-pub fn ablation_fallback(params: &FigureParams) -> Vec<(usize, BenchResult)> {
-    ablation_fallback_specs(params, &[TmSpec::new(AlgoKind::Rh1Mixed(100))])
-}
-
-/// [`ablation_fallback`] over an arbitrary spec series (the `spec=` CLI
-/// axis): the capacity sweep runs once per spec.
-pub fn ablation_fallback_specs(
+/// A clock/policy ablation's table: the swept value is component
+/// `component` of each row's `algo+clock+policy` spec label, and `tail`
+/// renders the experiment's own trailing column(s) under `tail_header`.
+fn axis_table(
+    title: &str,
+    axis: &str,
+    component: usize,
     params: &FigureParams,
-    specs: &[TmSpec],
-) -> Vec<(usize, BenchResult)> {
-    let elements = params.hashtable_elements;
-    let mut rows = Vec::new();
-    for spec in specs {
-        for &capacity in &[512usize, 16, 8, 4, 2] {
-            let result = spec
-                .clone()
-                .mem(mem_config(ConstantHashTable::required_words(elements)))
-                .htm(HtmConfig::with_capacity(capacity, capacity.min(8)))
-                .bench(
-                    |sim: &Arc<HtmSim>| ConstantHashTable::new(Arc::clone(sim), elements),
-                    &DriverOpts::counted_mix(2, OpMix::read_update(50), params.ops_per_thread / 4),
-                );
-            rows.push((capacity, result));
-        }
+    rows: Vec<BenchResult>,
+    tail_header: &str,
+    tail: fn(&BenchResult) -> String,
+) -> Rendered {
+    let mut text = format!(
+        "# {title}\n# threads swept: {:?}\n{:<14} {:<16} {:>8} {:>14} {:>12} {}\n",
+        params.thread_counts, axis, "algorithm", "threads", "ops/s", "abort-rate", tail_header
+    );
+    for r in &rows {
+        text += &format!(
+            "{:<14} {:<16} {:>8} {:>14.0} {:>11.2}% {}\n",
+            r.spec.split('+').nth(component).unwrap_or(""),
+            r.algorithm,
+            r.threads,
+            r.throughput(),
+            r.abort_ratio() * 100.0,
+            tail(r),
+        );
     }
-    rows
+    (text, rows)
 }
 
 #[cfg(test)]
@@ -619,9 +683,15 @@ mod tests {
         }
     }
 
+    /// The series `figures <name>` runs when given no arguments.
+    fn default_series(name: &str) -> Vec<TmSpec> {
+        let exp = Experiment::find(name).unwrap();
+        crate::cli::figure_args(exp, &[]).unwrap().specs
+    }
+
     #[test]
     fn fig1_produces_a_row_per_algo_and_thread_count() {
-        let rows = fig1_rbtree(&tiny_params());
+        let rows = fig1_rbtree(&tiny_params(), &default_series("fig1_rbtree"));
         assert_eq!(rows.len(), 2 * 4);
         assert!(rows.iter().all(|r| r.total_ops > 0));
         assert!(rows.iter().all(|r| !r.spec.is_empty()), "spec recorded");
@@ -629,7 +699,7 @@ mod tests {
 
     #[test]
     fn fig2_breakdown_contains_the_papers_five_rows() {
-        let rows = fig2_breakdown(&tiny_params(), 20);
+        let rows = fig2_breakdown(&tiny_params(), &default_series("fig2_breakdown"), 20);
         let names: Vec<_> = rows.iter().map(|r| r.algorithm.as_str()).collect();
         assert_eq!(
             names,
@@ -645,14 +715,16 @@ mod tests {
     fn fig3_random_array_matrix_has_16_points() {
         let mut p = tiny_params();
         p.duration = std::time::Duration::from_millis(10);
-        let points = fig3_random_array(&p);
+        let points = fig3_random_array(&p, &default_series("fig3_random_array"));
         assert_eq!(points.len(), 16);
-        assert!(points.iter().all(|pt| pt.rh1_ops_per_sec > 0.0));
+        assert!(points.iter().all(|pt| pt.treatment.total_ops > 0));
+        assert!(points.iter().all(|pt| pt.treatment.algorithm == "RH1 Fast"));
+        assert!(points.iter().all(|pt| pt.speedup() > 0.0));
     }
 
     #[test]
     fn speedups_without_a_tl2_baseline_are_refused_not_mislabeled() {
-        let rows = fig2_breakdown_specs(&tiny_params(), &specs_of(&[AlgoKind::Htm]), 20);
+        let rows = fig2_breakdown(&tiny_params(), &[TmSpec::new(AlgoKind::Htm)], 20);
         assert!(single_thread_speedups(&rows).is_empty());
     }
 
@@ -663,102 +735,104 @@ mod tests {
             TmSpec::parse("rh2+gv6+adaptive").unwrap(),
             TmSpec::parse("tl2+gv5").unwrap(),
         ];
-        let rows = fig1_rbtree_specs(&p, &specs);
+        let rows = fig1_rbtree(&p, &specs);
         assert_eq!(rows.len(), 2 * 2);
         assert_eq!(rows[0].spec, "rh2+gv6+adaptive");
         assert_eq!(rows[1].spec, "tl2+gv5+paper-default");
         assert!(rows.iter().all(|r| r.total_ops > 0));
     }
 
+    /// The axis ablations' shared shape: swept values × base algorithms ×
+    /// thread counts, value-major, every row committing work and carrying
+    /// its swept value as `component` of the `algo+clock+policy` spec label.
+    fn assert_swept_rows(rows: &[BenchResult], swept: &[&str], component: usize, algos: usize) {
+        let per_value = algos * tiny_params().thread_counts.len();
+        assert_eq!(rows.len(), swept.len() * per_value);
+        for (i, row) in rows.iter().enumerate() {
+            assert!(row.stats.commits() > 0, "{} produced no commits", row.spec);
+            assert_eq!(
+                row.spec.split('+').nth(component),
+                Some(swept[i / per_value])
+            );
+        }
+    }
+
+    /// `name`'s base series expanded over `policies`, and their labels.
+    fn policy_series(name: &str, policies: [RetryPolicyHandle; 2]) -> (Vec<TmSpec>, [&str; 2]) {
+        let algos = Experiment::find(name).unwrap().algos;
+        let bases: Vec<_> = algos.iter().map(|&k| TmSpec::new(k)).collect();
+        let labels = [policies[0].label(), policies[1].label()];
+        (expand_series(&bases, &[], &policies), labels)
+    }
+
     #[test]
     fn ablations_produce_rows() {
         let p = tiny_params();
-        // schemes × {TL2, RH1 Mixed 100} × thread counts
-        let clock_rows = ablation_clock(&p);
-        assert_eq!(
-            clock_rows.len(),
-            ClockScheme::ALL.len() * 2 * p.thread_counts.len()
-        );
-        assert!(clock_rows.iter().all(|r| r.result.total_ops > 0));
-        // Every scheme must actually commit work on every algorithm, and
-        // the swept scheme must be recorded in the row's spec label.
-        for scheme in ClockScheme::ALL {
-            assert!(
-                clock_rows
-                    .iter()
-                    .filter(|r| r.scheme == scheme)
-                    .all(|r| r.result.stats.commits() > 0
-                        && r.result.spec.contains(scheme.label())),
-                "{scheme:?} produced no commits or lost its spec label"
-            );
-        }
-        assert_eq!(ablation_capacity(&p).len(), 5);
-        assert_eq!(ablation_fallback(&p).len(), 5);
+        let clock_rows = ablation_clock(&p, &default_series("ablation_clock"));
+        let schemes = ClockScheme::ALL.map(|s| s.label());
+        assert_swept_rows(&clock_rows, &schemes, 1, 2);
+        let capacity_rows = ablation_capacity(&p, &default_series("ablation_capacity"));
+        assert_eq!(capacity_rows.len(), 5);
+        let fallback_rows = ablation_fallback(&p, &default_series("ablation_fallback"));
+        assert_eq!(fallback_rows.len(), 5);
     }
 
     #[test]
     fn retry_ablation_produces_committing_rows_per_policy() {
-        let p = tiny_params();
-        let policies = vec![
+        let policies = [
             RetryPolicyHandle::paper_default(),
             RetryPolicyHandle::adaptive(),
         ];
-        let rows = ablation_retry_policies(&p, &policies);
-        // policies × 5 algorithms × thread counts
-        assert_eq!(rows.len(), policies.len() * 5 * p.thread_counts.len());
-        for row in &rows {
-            assert!(
-                row.result.stats.commits() > 0,
-                "{} × {:?} produced no commits",
-                row.policy.label(),
-                row.algo
-            );
-            assert!(
-                row.result.spec.ends_with(row.policy.label()),
-                "{}: spec label must carry the swept policy",
-                row.result.spec
-            );
-        }
+        let (series, labels) = policy_series("ablation_retry", policies);
+        assert_swept_rows(&ablation_retry(&tiny_params(), &series), &labels, 2, 5);
     }
 
     #[test]
     fn retry2_ablation_runs_the_phased_scenario_per_policy() {
-        let p = tiny_params();
-        let policies = vec![
+        let policies = [
             RetryPolicyHandle::paper_default(),
             RetryPolicyHandle::circuit_breaker(),
         ];
-        let rows = ablation_retry2_policies(&p, &policies);
-        // policies × 3 algorithms × thread counts
-        assert_eq!(rows.len(), policies.len() * 3 * p.thread_counts.len());
+        let (series, labels) = policy_series("ablation_retry2", policies);
+        let rows = ablation_retry2(&tiny_params(), &series);
+        assert_swept_rows(&rows, &labels, 2, 3);
         for row in &rows {
-            assert!(
-                row.result.stats.commits() > 0,
-                "{} × {:?} produced no commits",
-                row.policy.label(),
-                row.algo
-            );
-            assert!(
-                row.result.spec.ends_with(row.policy.label()),
-                "{}: spec label must carry the swept policy",
-                row.result.spec
-            );
             // The flash-crowd scenario drives the workload name.
-            assert!(
-                row.result.workload.contains("skiplist"),
-                "unexpected workload {}",
-                row.result.workload
-            );
+            assert!(row.workload.contains("skiplist"), "{}", row.workload);
+            // The always-on metrics stay internally consistent: every
+            // circuit close requires a preceding open and an admitted
+            // probe, and only the breaker rows may report circuit
+            // transitions at all.
+            let m = &row.stats.retry;
+            assert!(m.circuit_closes <= m.circuit_opens, "{}", row.spec);
+            assert!(m.circuit_closes <= m.circuit_probes, "{}", row.spec);
+            if !row.spec.ends_with("+cb") {
+                assert_eq!(m.circuit_opens, 0, "{}", row.spec);
+            }
         }
-        // The always-on metrics stay internally consistent: every circuit
-        // close requires a preceding open and an admitted probe, and only
-        // the breaker rows may report circuit transitions at all.
-        for row in &rows {
-            let m = &row.result.stats.retry;
-            assert!(m.circuit_closes <= m.circuit_opens, "{}", row.result.spec);
-            assert!(m.circuit_closes <= m.circuit_probes, "{}", row.result.spec);
-            if row.policy.label() != "cb" {
-                assert_eq!(m.circuit_opens, 0, "{}", row.result.spec);
+    }
+
+    #[test]
+    fn every_table_entry_is_named_once_has_a_series_and_runs() {
+        let mut p = tiny_params();
+        p.duration = std::time::Duration::from_millis(10);
+        let one = TmSpec::parse("rh1-mixed-100+gv5+adaptive").unwrap();
+        for (i, exp) in EXPERIMENTS.iter().enumerate() {
+            assert!(
+                EXPERIMENTS[..i].iter().all(|other| other.name != exp.name),
+                "{} is listed twice",
+                exp.name
+            );
+            assert!(!default_series(exp.name).is_empty(), "{}", exp.name);
+            // The one experiment comparing a pair runs the spec against
+            // itself.
+            let pair = usize::from(exp.name == "fig3_random_array");
+            let (text, rows) = (exp.run)(&p, &vec![one.clone(); 1 + pair], 20);
+            assert!(text.lines().count() > 1, "{} rendered nothing", exp.name);
+            assert!(!rows.is_empty(), "{} returned no rows", exp.name);
+            for row in &rows {
+                assert!(row.total_ops > 0, "{}: {} idle", exp.name, row.spec);
+                assert_eq!(row.spec, one.label(), "{}", exp.name);
             }
         }
     }

@@ -1,25 +1,29 @@
 //! # rhtm-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the
-//! paper's evaluation (see the workspace `README.md` for the
-//! experiment-by-experiment index), plus the clock/capacity/fallback
-//! ablations that probe the design space around the paper's choices.
+//! The harness that regenerates every table and figure of the paper's
+//! evaluation, plus the capacity/clock/fallback/retry ablations that probe
+//! the design space around the paper's choices.  (The repo's *measuring
+//! instrument* — bounded end-to-end metrics, per-layer attribution, the
+//! regression gate — is the separate `benchmark/` package.)
 //!
-//! The same figure definitions are exposed at two scales:
+//! Three binaries: `figures <subcommand>` (one subcommand per row of
+//! [`EXPERIMENTS`]; the workspace `README.md` has the
+//! experiment-by-experiment index), `bench_suite` (every registered
+//! scenario as one JSON document, [`suite`]) and `bench_kv` (the open-loop
+//! sharded-KV sweep).  Experiments run at two scales:
 //!
-//! * **Paper scale** ([`Scale::Paper`]) — the sizes the paper uses (100 K
-//!   node tree, 1 K element list, 128 K entry array, threads 1..20).  Run
-//!   through the `fig*` binaries, e.g.
-//!   `cargo run -p rhtm-bench --release --bin fig1_rbtree`.
-//! * **Quick scale** ([`Scale::Quick`]) — reduced sizes so that
-//!   `cargo bench --workspace` exercises every figure in a few minutes
-//!   through the Criterion benches.
+//! * **Paper scale** ([`Scale::Paper`], the default) — the sizes the paper
+//!   uses (100 K node tree, 1 K element list, 128 K entry array, threads
+//!   1..20), e.g. `cargo run -p rhtm-bench --release --bin figures -- fig1_rbtree`.
+//! * **Quick scale** ([`Scale::Quick`]) — reduced sizes for CI:
+//!   `figures fig1_rbtree quick`.
 //!
-//! Each figure function returns the raw [`rhtm_workloads::BenchResult`] rows so binaries,
-//! benches and tests all share one definition of the experiment.  Every
-//! experiment is defined over [`rhtm_workloads::TmSpec`] runtime points,
-//! and every binary accepts the shared `spec=` CLI axis ([`cli`]) to
-//! replace its paper-default series — see `docs/BENCHMARKS.md`.
+//! Each experiment is one function in [`figures`] over a series of
+//! [`rhtm_workloads::TmSpec`] runtime points, returning the raw
+//! [`rhtm_workloads::BenchResult`] rows, so the binary and the tests share
+//! one definition; every binary accepts the shared `spec=` CLI axis
+//! ([`cli`]) to replace the paper-default series — see
+//! `docs/BENCHMARKS.md`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -28,9 +32,7 @@ pub mod cli;
 pub mod figures;
 pub mod params;
 pub mod suite;
-pub mod trajectory;
 
 pub use figures::*;
 pub use params::{FigureParams, Scale};
 pub use suite::{run_suite, run_suite_to_json, SuiteParams};
-pub use trajectory::{run_trajectory, TrajectoryParams, TrajectoryPoint};

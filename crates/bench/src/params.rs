@@ -7,7 +7,7 @@ use std::time::Duration;
 pub enum Scale {
     /// The paper's sizes and thread counts.
     Paper,
-    /// Reduced sizes for Criterion / CI runs.
+    /// Reduced sizes for CI runs.
     Quick,
 }
 
@@ -38,7 +38,8 @@ pub struct FigureParams {
     pub thread_counts: Vec<usize>,
     /// Measurement interval per (algorithm, thread-count) point.
     pub duration: Duration,
-    /// Operations per thread for the operation-bounded (Criterion) mode.
+    /// Operations per thread for the operation-bounded experiments (the
+    /// breakdown tables and the capacity ablations).
     pub ops_per_thread: u64,
 }
 

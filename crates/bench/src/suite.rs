@@ -1,8 +1,8 @@
 //! The unified benchmark suite: every registered scenario swept over
 //! algorithms and thread counts, emitted as **one** schema-stable JSON
-//! document for the benchmark trajectory.
+//! document.
 //!
-//! The `fig*`/`ablation_*` binaries each reproduce one experiment of the
+//! The `figures` subcommands each reproduce one experiment of the
 //! paper (or one ablation) with bespoke output; this module is the
 //! machine-facing complement — a single sweep definition whose output
 //! (`suite_to_json`, schema in `docs/BENCHMARKS.md`) downstream tooling

@@ -24,7 +24,7 @@ pub struct KvScenario {
 }
 
 /// The registry.  Names must stay unique and stable (they key the
-/// `BENCH_*.json` trajectory's KV probe rows).
+/// `bench_kv` JSON and `benchmark/`'s workloads).
 const REGISTRY: &[KvScenario] = &[
     KvScenario {
         name: "kv-point-ops",

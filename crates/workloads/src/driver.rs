@@ -78,9 +78,9 @@ impl DriverOpts {
         }
     }
 
-    /// An operation-count-bounded run (used by the Criterion benches, whose
-    /// iteration model wants deterministic work per measurement) with the
-    /// given operation mix over uniform keys.
+    /// An operation-count-bounded run (deterministic work per measurement:
+    /// the breakdown tables, the capacity ablations, the golden tests) with
+    /// the given operation mix over uniform keys.
     pub fn counted_mix(threads: usize, mix: OpMix, ops_per_thread: u64) -> Self {
         DriverOpts {
             threads,

@@ -129,7 +129,7 @@ pub struct Scenario {
 }
 
 /// The registry.  Order is display order; names must stay unique and
-/// stable (they key the `BENCH_*.json` trajectory).
+/// stable (they key the `bench_suite` JSON and `benchmark/`'s workloads).
 const REGISTRY: &[Scenario] = &[
     Scenario {
         name: "rbtree-uniform",

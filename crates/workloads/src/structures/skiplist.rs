@@ -23,7 +23,7 @@
 //!   it once every thread has passed the retiring epoch.  Steady-state
 //!   insert/remove churn therefore does not grow the heap — a requirement
 //!   for time-bounded runs over the append-only allocator — and, unlike
-//!   the old in-heap `TxFreeList`, spare management never joins the
+//!   a transactional in-heap freelist, spare management never joins the
 //!   transactions' read/write sets.
 //! * **Bulk seeding** ([`SkipListSeeder`]).  Prefill appends ascending
 //!   keys in O(1) per key through a tail-pointer array and carves nodes
